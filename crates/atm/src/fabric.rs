@@ -296,7 +296,8 @@ impl Fabric {
             src < self.cfg.hosts() && dst < self.cfg.hosts(),
             "host out of range"
         );
-        debug_assert_ne!(src, dst, "PDU to self does not traverse the fabric");
+        // cni-lint: allow(panic-path) -- src and dst are the engine's addressing of a message it built (ProcCtx::send_to and the DSM never address their own node), not wire data; a self-send would time a fabric crossing that cannot happen
+        assert_ne!(src, dst, "PDU to self does not traverse the fabric");
         let cells = self.segmenter.cell_count(pdu_len);
         let wire_bytes = self.segmenter.wire_bytes(pdu_len);
         // Cell size on the wire: equal split of the PDU across cells.
@@ -361,7 +362,8 @@ impl Fabric {
             src < self.cfg.hosts() && dst < self.cfg.hosts(),
             "host out of range"
         );
-        debug_assert_ne!(src, dst, "PDU to self does not traverse the fabric");
+        // cni-lint: allow(panic-path) -- src and dst are the engine's addressing of a message it built (ProcCtx::send_to and the DSM never address their own node), not wire data; a self-send would time a fabric crossing that cannot happen
+        assert_ne!(src, dst, "PDU to self does not traverse the fabric");
         let cells = self.segmenter.cell_count(pdu_len);
         let wire_bytes = self.segmenter.wire_bytes(pdu_len);
         let per_cell_bytes = wire_bytes / cells;

@@ -68,7 +68,7 @@ mod tests {
     #[test]
     fn create_records_only_changes() {
         let f = frame(8);
-        f.fill_from(&[0, 1, 2, 3, 4, 5, 6, 7]);
+        f.fill_from(&[0, 1, 2, 3, 4, 5, 6, 7]).unwrap();
         let twin = f.snapshot();
         f.store(2, 99);
         f.store(7, 100);
@@ -136,7 +136,7 @@ mod tests {
         // the value already present produces no diff entry. (This is the
         // standard TreadMarks behaviour.)
         let f = frame(4);
-        f.fill_from(&[9, 9, 9, 9]);
+        f.fill_from(&[9, 9, 9, 9]).unwrap();
         let twin = f.snapshot();
         f.store(2, 9);
         assert!(Diff::create(&twin, &f).is_empty());
@@ -158,7 +158,7 @@ mod proptests {
         ) {
             let ns = NodeSpace::new(16 * 8, 32);
             let w = ns.page(PageId(0)).frame.clone();
-            w.fill_from(&base);
+            w.fill_from(&base).unwrap();
             let twin = w.snapshot();
             for &(i, v) in &writes {
                 w.store(i, v);
@@ -166,7 +166,7 @@ mod proptests {
             let d = Diff::create(&twin, &w);
 
             let r = ns.page(PageId(1)).frame.clone();
-            r.fill_from(&base);
+            r.fill_from(&base).unwrap();
             d.apply(&r);
             prop_assert_eq!(r.snapshot(), w.snapshot());
         }

@@ -1104,7 +1104,10 @@ impl DsmNode {
         };
         debug_assert_eq!(fault_page, page, "PageResp for wrong page");
         let h = self.space.page(page);
-        h.frame.fill_from(&data);
+        if let Err(e) = h.frame.fill_from(&data) {
+            // cni-lint: allow(panic-path) -- every node's frames share the cluster's one page size and the server sends its whole frame; a short or long image is a protocol-engine bug
+            panic!("PageResp for {page:?} from a peer: {e}");
+        }
         work.page_copy_words += data.len() as u64;
         let pv = version;
         // The served copy may lack writes the frame must regain before the

@@ -16,6 +16,7 @@ use crate::types::PageId;
 // cni-lint: allow(host-thread) -- page table shared with application co-threads; the engine runs at most one thread at a time (see module docs), the lock satisfies Send/Sync bounds
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
@@ -72,14 +73,42 @@ impl Frame {
             .collect()
     }
 
-    /// Overwrite the whole frame (page replies).
-    pub fn fill_from(&self, data: &[u64]) {
-        debug_assert_eq!(data.len(), self.words.len(), "frame size mismatch");
+    /// Overwrite the whole frame (page replies). A page image of any
+    /// other length is rejected and the frame is left untouched.
+    pub fn fill_from(&self, data: &[u64]) -> Result<(), FrameSizeMismatch> {
+        if data.len() != self.words.len() {
+            return Err(FrameSizeMismatch {
+                frame_words: self.words.len(),
+                data_words: data.len(),
+            });
+        }
         for (w, &v) in self.words.iter().zip(data) {
             w.store(v, Ordering::Relaxed);
         }
+        Ok(())
     }
 }
+
+/// [`Frame::fill_from`] was handed a page image of the wrong length.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct FrameSizeMismatch {
+    /// Words in the frame.
+    pub frame_words: usize,
+    /// Words in the rejected image.
+    pub data_words: usize,
+}
+
+impl fmt::Display for FrameSizeMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "frame size mismatch: frame has {} words, image has {}",
+            self.frame_words, self.data_words
+        )
+    }
+}
+
+impl std::error::Error for FrameSizeMismatch {}
 
 /// Access state + dirty-line tracking for one (node, page).
 pub struct PageFlags {
@@ -110,9 +139,19 @@ impl PageFlags {
     }
 
     /// Mark cache line `line` dirty.
+    ///
+    /// A plain load and store rather than a locked read-modify-write: at
+    /// most one thread runs at a time (see the module docs), and the
+    /// co-thread handoff orders each thread's accesses before the next
+    /// thread's.
     #[inline]
     pub fn mark_dirty(&self, line: usize) {
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
+        let w = &self.dirty[line / 64];
+        let bit = 1 << (line % 64);
+        let v = w.load(Ordering::Relaxed);
+        if v & bit == 0 {
+            w.store(v | bit, Ordering::Relaxed);
+        }
     }
 
     /// Count dirty lines and clear them (a flush).
@@ -143,9 +182,14 @@ pub struct PageHandle {
 }
 
 /// One node's view of the shared segment.
+///
+/// A page's frame and flags, once created, are never replaced or removed:
+/// every [`PageHandle`] handed out stays the live handle of its page for
+/// the life of the space, so callers may cache handles indefinitely.
 pub struct NodeSpace {
     page_bytes: usize,
-    line_bytes: usize,
+    /// log2 of the cache-line size.
+    line_shift: u32,
     // cni-lint: allow(host-thread) -- keyed-only page map handed to co-threads; never contended (one runnable thread) and never iterated
     pages: RwLock<HashMap<PageId, PageHandle>>,
 }
@@ -157,7 +201,7 @@ impl NodeSpace {
         assert!(line_bytes.is_power_of_two() && line_bytes >= 8);
         NodeSpace {
             page_bytes,
-            line_bytes,
+            line_shift: line_bytes.trailing_zeros(),
             // cni-lint: allow(host-thread) -- constructor for the waived field above
             pages: RwLock::new(HashMap::new()),
         }
@@ -173,15 +217,16 @@ impl NodeSpace {
         self.page_bytes / 8
     }
 
-    /// Cache lines per page.
+    /// Cache lines per page, counting a partial last line (page sizes
+    /// need only be whole words).
     pub fn page_lines(&self) -> usize {
-        self.page_bytes / self.line_bytes
+        self.page_bytes.div_ceil(1 << self.line_shift)
     }
 
     /// Line index of byte offset `off`.
     #[inline]
     pub fn line_of(&self, off: usize) -> usize {
-        off / self.line_bytes
+        off >> self.line_shift
     }
 
     /// Fetch the handle for `page`, creating an invalid zero frame on first
@@ -220,15 +265,25 @@ mod tests {
         f.store(2, 99);
         assert_eq!(f.load(2), 99);
         assert_eq!(f.snapshot(), vec![0, 0, 99, 0]);
-        f.fill_from(&[1, 2, 3, 4]);
+        f.fill_from(&[1, 2, 3, 4]).unwrap();
         assert_eq!(f.load(0), 1);
         assert_eq!(f.len(), 4);
     }
 
     #[test]
-    #[should_panic(expected = "size mismatch")]
     fn fill_rejects_wrong_size() {
-        Frame::new(4).fill_from(&[1, 2]);
+        let f = Frame::new(4);
+        f.store(0, 7);
+        for image in [&[1, 2][..], &[1, 2, 3, 4, 5][..]] {
+            let err = f.fill_from(image).unwrap_err();
+            assert!(err.to_string().contains("size mismatch"), "{err}");
+            assert_eq!(err.data_words, image.len());
+        }
+        assert_eq!(
+            f.snapshot(),
+            vec![7, 0, 0, 0],
+            "a rejected image must not land"
+        );
     }
 
     #[test]
@@ -280,5 +335,16 @@ mod tests {
         assert_eq!(ns.line_of(31), 0);
         assert_eq!(ns.line_of(32), 1);
         assert_eq!(ns.line_of(2047), 63);
+    }
+
+    #[test]
+    fn partial_last_line_has_a_dirty_bit() {
+        // 2056 B = 64 whole 32-byte lines plus one 8-byte word.
+        let ns = NodeSpace::new(2056, 32);
+        assert_eq!(ns.page_words(), 257);
+        assert_eq!(ns.page_lines(), 65);
+        let h = ns.page(PageId(0));
+        h.flags.mark_dirty(ns.line_of(2048));
+        assert_eq!(h.flags.take_dirty_lines(), 1);
     }
 }

@@ -12,9 +12,10 @@
 //! CNI_BLESS=1 cargo test --test golden_reports
 //! ```
 //!
-//! The five configs cover the matrix that matters: both NIC kinds, the
+//! The configs cover the matrix that matters: both NIC kinds, the
 //! lossless fast path and the go-back-N fault path, single-switch and
-//! fat-tree fabrics, and three process counts.
+//! fat-tree fabrics, three process counts, and page sizes that are not
+//! powers of two.
 //!
 //! What a fixture may pin: anything observable through the `(time, seq)`
 //! event order — timings, counters, histograms, fault statistics. What it
@@ -162,5 +163,29 @@ fn cholesky4_report_is_golden() {
         App::Cholesky {
             matrix: CholeskyMatrix::Mesh { rows: 12, cols: 12 },
         },
+    );
+}
+
+#[test]
+fn jacobi8_page2080_report_is_golden() {
+    // A page size that is not a power of two (65 whole 32-byte lines):
+    // pins the general page split — address to page by division, not a
+    // shift — through the shared-access fast path and every page-sized
+    // protocol message.
+    check_golden(
+        "jacobi8_page2080",
+        Config::paper_default().with_page_bytes(2080),
+        App::Jacobi { n: 48, iters: 6 },
+    );
+}
+
+#[test]
+fn jacobi8_page2056_report_is_golden() {
+    // 2056 B pages end in a partial cache line (64 whole lines plus one
+    // word): pins the dirty-line bookkeeping for that last line.
+    check_golden(
+        "jacobi8_page2056",
+        Config::paper_default().with_page_bytes(2056),
+        App::Jacobi { n: 48, iters: 6 },
     );
 }
