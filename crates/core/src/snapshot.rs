@@ -21,7 +21,7 @@
 //!
 //! ### Why a journal instead of serializing co-threads
 //!
-//! Each simulated processor is a real OS thread parked at a yield; its
+//! Each simulated processor is a coroutine suspended at a yield; its
 //! stack cannot be serialized. What *can* be recorded is the complete
 //! engine→node interaction history: every co-thread resume (with the
 //! reply it carried) and every DSM handler invocation, in engine order

@@ -52,16 +52,13 @@ const HOST_TIME_EXEMPT: &[&str] = &["crates/batch/src/lib.rs", "crates/bench/"];
 const SNAPSHOT_PATHS: &[&str] = &["crates/snap/", "crates/core/src/snapshot.rs"];
 
 /// Files allowed to use host threading primitives (T1): the parallel
-/// executor itself, its `World` driver, and the co-thread runtime —
-/// the three places where the engine deliberately meets the host's
-/// scheduler. Everywhere else in the sim crates, a mutex or channel is
-/// either dead weight on the serial path or an invitation to leak host
-/// scheduling order into results.
-const THREAD_EXEMPT: &[&str] = &[
-    "crates/sim/src/pdes.rs",
-    "crates/sim/src/cothread.rs",
-    "crates/core/src/pdes.rs",
-];
+/// executor itself and its `World` driver — the two places where the
+/// engine deliberately meets the host's scheduler. Everywhere else in
+/// the sim crates, a mutex or channel is either dead weight on the
+/// serial path or an invitation to leak host scheduling order into
+/// results. (The co-thread runtime switches stacks on the engine's own
+/// thread, so it is held to the rule too.)
+const THREAD_EXEMPT: &[&str] = &["crates/sim/src/pdes.rs", "crates/core/src/pdes.rs"];
 
 /// Protocol receive/reassembly roots: (file suffix, function names).
 /// Corrupt input is expected on these paths post-PR2; P1 bans
@@ -286,8 +283,7 @@ impl Rule {
             }
             Rule::HostThread => {
                 "host threading primitives live only in the designated executor modules \
-                 (sim::pdes, sim::cothread, core::pdes); route cross-shard effects through \
-                 the event queue"
+                 (sim::pdes, core::pdes); route cross-shard effects through the event queue"
             }
             Rule::UnsafeNoSafety => "add a `// SAFETY:` comment on or directly above the block",
             Rule::BadSuppression => {
@@ -393,16 +389,16 @@ impl Rule {
                  \n\
                  The parallel engine's determinism rests on exactly one piece of\n\
                  host concurrency: the conservative-lookahead executor and its\n\
-                 replay barrier (sim::pdes, driven through core::pdes), plus the\n\
-                 co-thread runtime that implements execution-driven processors\n\
-                 (sim::cothread). A `Mutex`, `RwLock`, `Condvar`, `mpsc` channel\n\
-                 or `thread::spawn` anywhere else in the sim crates either does\n\
-                 nothing on the serial path or — worse — invites ad-hoc\n\
-                 cross-shard communication whose ordering depends on the host\n\
-                 scheduler, silently breaking byte-identity at worker counts\n\
-                 above one. Route cross-shard effects through the event queue\n\
-                 and `SendIntent` commits; shared read-only state may be waived\n\
-                 with a justification."
+                 replay barrier (sim::pdes, driven through core::pdes). The\n\
+                 co-thread runtime (sim::cothread) switches stacks on the\n\
+                 engine's own thread and needs none. A `Mutex`, `RwLock`,\n\
+                 `Condvar`, `mpsc` channel or `thread::spawn` anywhere else in\n\
+                 the sim crates either does nothing on the serial path or —\n\
+                 worse — invites ad-hoc cross-shard communication whose\n\
+                 ordering depends on the host scheduler, silently breaking\n\
+                 byte-identity at worker counts above one. Route cross-shard\n\
+                 effects through the event queue and `SendIntent` commits;\n\
+                 shared read-only state may be waived with a justification."
             }
             Rule::UnsafeNoSafety => {
                 "U1 unsafe-no-safety — undocumented unsafe.\n\

@@ -297,12 +297,18 @@ fn t1_quiet_on_event_queue_style_code() {
 
 #[test]
 fn t1_quiet_in_the_designated_executor_modules() {
-    // The executor, its World driver, and the co-thread runtime are the
-    // three sanctioned host-concurrency sites.
+    // The executor and its World driver are the two sanctioned
+    // host-concurrency sites.
     let src = fixture("t1_bad.rs");
     assert!(hits("crates/sim/src/pdes.rs", &src).is_empty());
-    assert!(hits("crates/sim/src/cothread.rs", &src).is_empty());
     assert!(hits("crates/core/src/pdes.rs", &src).is_empty());
+}
+
+#[test]
+fn t1_fires_in_the_cothread_runtime() {
+    // Co-threads switch stacks on the engine's thread: no exemption.
+    let src = fixture("t1_bad.rs");
+    assert_eq!(hits("crates/sim/src/cothread.rs", &src).len(), 4);
 }
 
 #[test]

@@ -2,33 +2,211 @@
 //!
 //! Proteus-style execution-driven simulation runs the *real* application
 //! code and intercepts only the operations that have simulated cost or
-//! semantics (shared-memory faults, locks, barriers, message sends). Rust
-//! has no stackful coroutines in the standard library, so each simulated
-//! CPU is an OS thread that rendezvouses with the simulation engine:
+//! semantics (shared-memory faults, locks, barriers, message sends). Each
+//! simulated CPU is a stackful coroutine: it runs on the OS thread of the
+//! engine that resumes it, on a stack of its own.
 //!
 //! * the engine calls [`CoThread::start`]/[`CoThread::resume`], which
-//!   unblocks the program thread and then blocks the engine until the
-//!   program either issues its next request via [`Port::call`] or finishes;
-//! * the program thread blocks in [`Port::call`] until the engine answers.
+//!   switch to the program's stack and run it until the program either
+//!   issues its next request via [`Port::call`] or finishes;
+//! * [`Port::call`] switches back to the engine's stack, and returns when
+//!   the engine resumes the co-thread with the response.
 //!
-//! At any instant at most one of {engine, one program thread} is running,
-//! so the simulation stays deterministic even though application data lives
-//! in shared memory. The handshake is three bounded channels, so one
-//! engine → program → engine round trip costs two OS thread wake-ups:
-//! about 5 µs on a 2-vCPU x86-64 VM with the process pinned to one CPU
-//! (`sim.cothread.roundtrip_ns` from `python3 hostbench/run.py --workload
-//! jacobi-1024 --trace 1`). That stays affordable because programs only
-//! yield on *simulated communication* and faults, never on ordinary
-//! computation or on accesses to valid pages.
+//! At any instant exactly one of {engine, one program} runs, by
+//! construction, so the simulation stays deterministic even though
+//! application data lives in shared memory. A switch saves the SysV
+//! callee-saved registers on the current stack and loads the other
+//! stack's pointer (`cni_cothread_switch` below); the kernel is not
+//! involved. One engine → program → engine round trip costs about 50 ns
+//! on a 2-vCPU x86-64 VM pinned to one CPU (`sim.cothread.roundtrip_ns`
+//! from `python3 hostbench/run.py --workload jacobi-1024 --trace 1`).
+//! Programs yield only on *simulated communication* and faults, never on
+//! ordinary computation or on accesses to valid pages.
 //!
-//! Dropping a [`CoThread`] before the program finishes cancels it: the next
-//! `Port::call` unwinds the program thread with a private panic payload that
-//! the wrapper swallows, so aborted simulations don't leak threads.
+//! **Stacks.** Each co-thread gets 2 MiB (std's default thread stack) of
+//! lazily committed anonymous memory, with a `PROT_NONE` guard page below
+//! it. An overflow therefore kills the process with `SIGSEGV` rather than
+//! corrupting a neighbour (std's "stack overflow" message covers only OS
+//! thread stacks). The stack is unmapped when the [`CoThread`] is dropped.
+//!
+//! **Panics.** A program's panic is caught at the bottom of its stack and
+//! re-raised on the engine as `co-thread "<name>" panicked: <message>`.
+//!
+//! **Cancellation.** Dropping a started, unfinished [`CoThread`] switches
+//! in once more and makes the pending [`Port::call`] unwind the program
+//! with a private payload, so the program's locals are dropped. If the
+//! engine is itself unwinding from a panic, a second panic on the same OS
+//! thread would abort the process, so the program is not unwound: its
+//! stack is unmapped as is, and whatever its live locals own (heap
+//! buffers, reference counts) leaks.
+//!
+//! **Moving between OS threads.** A [`CoThread`] is `Send`: the parallel
+//! executor's workers resume co-threads on their own OS threads, so one
+//! program can run on several OS threads in turn, switching at
+//! [`Port::call`]. A program must therefore not hold anything tied to an
+//! OS thread across `Port::call`: no borrow of a `thread_local!` value and
+//! no lock guard.
 
 use cni_trace::{TraceEvent, TraceSink};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use std::ffi::{c_int, c_void};
 use std::panic::{self, AssertUnwindSafe};
-use std::thread::JoinHandle;
+use std::ptr::{self, NonNull};
+
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+compile_error!(
+    "cni-sim co-threads switch stacks with x86-64 Linux assembly: port \
+     `cni_cothread_switch` (with its entry trampoline, the initial frame \
+     built in `CoThread::spawn`, and the mmap flags) in \
+     crates/sim/src/cothread.rs to this target"
+);
+
+/// Usable stack per co-thread: the same as std's default thread stack.
+const STACK_BYTES: usize = 2 << 20;
+/// The `PROT_NONE` page below each stack.
+const GUARD_BYTES: usize = 4096;
+
+// Save the SysV callee-saved state (rbp, rbx, r12–r15, MXCSR, x87 control
+// word) on the current stack, store rsp through `save`, load rsp from
+// `load` and restore the same state from there. The initial frame that
+// `CoThread::spawn` builds has this layout, with the trampoline as the
+// return address.
+//
+// The trampoline is the bottom frame of every co-thread stack: it calls
+// the entry function in r13 with the control block in r12 and never
+// returns. `.cfi_undefined rip` marks it as the outermost frame, so
+// unwinders and `Backtrace` stop there.
+std::arch::global_asm!(
+    ".text",
+    ".balign 16",
+    ".globl cni_cothread_switch",
+    ".hidden cni_cothread_switch",
+    ".type cni_cothread_switch,@function",
+    "cni_cothread_switch:",
+    "push rbp",
+    "push rbx",
+    "push r12",
+    "push r13",
+    "push r14",
+    "push r15",
+    "sub rsp, 8",
+    "stmxcsr dword ptr [rsp]",
+    "fnstcw word ptr [rsp + 4]",
+    "mov qword ptr [rdi], rsp",
+    "mov rsp, rsi",
+    "ldmxcsr dword ptr [rsp]",
+    "fldcw word ptr [rsp + 4]",
+    "add rsp, 8",
+    "pop r15",
+    "pop r14",
+    "pop r13",
+    "pop r12",
+    "pop rbx",
+    "pop rbp",
+    "ret",
+    ".size cni_cothread_switch, .-cni_cothread_switch",
+    "",
+    ".balign 16",
+    ".globl cni_cothread_trampoline",
+    ".hidden cni_cothread_trampoline",
+    ".type cni_cothread_trampoline,@function",
+    "cni_cothread_trampoline:",
+    ".cfi_startproc",
+    ".cfi_undefined rip",
+    "mov rdi, r12",
+    "call r13",
+    "ud2",
+    ".cfi_endproc",
+    ".size cni_cothread_trampoline, .-cni_cothread_trampoline",
+);
+
+/// Initial MXCSR (all exceptions masked, round to nearest) and x87
+/// control word of a new co-thread: the values the SysV ABI starts a
+/// process with.
+const MXCSR_INIT: u64 = 0x1F80;
+const FPUCW_INIT: u64 = 0x037F;
+
+extern "C" {
+    /// Suspend the caller's stack, saving its pointer to `*save`, and
+    /// resume the stack whose saved pointer is `load`.
+    fn cni_cothread_switch(save: *mut *mut u8, load: *mut u8);
+    /// Bottom frame of a co-thread; only ever entered by the first switch.
+    fn cni_cothread_trampoline();
+
+    fn mmap(
+        addr: *mut c_void,
+        len: usize,
+        prot: c_int,
+        flags: c_int,
+        fd: c_int,
+        off: i64,
+    ) -> *mut c_void;
+    fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+    fn munmap(addr: *mut c_void, len: usize) -> c_int;
+}
+
+const PROT_NONE: c_int = 0;
+const PROT_READ: c_int = 1;
+const PROT_WRITE: c_int = 2;
+const MAP_PRIVATE: c_int = 0x02;
+const MAP_ANONYMOUS: c_int = 0x20;
+const MAP_NORESERVE: c_int = 0x4000;
+const MAP_STACK: c_int = 0x20000;
+
+/// One co-thread's stack mapping: a guard page, then [`STACK_BYTES`].
+struct Stack {
+    base: NonNull<c_void>,
+}
+
+impl Stack {
+    const LEN: usize = GUARD_BYTES + STACK_BYTES;
+
+    fn new() -> Stack {
+        // SAFETY: a fresh anonymous private mapping at an address the
+        // kernel chooses; no existing memory is touched.
+        let p = unsafe {
+            mmap(
+                ptr::null_mut(),
+                Self::LEN,
+                PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                -1,
+                0,
+            )
+        };
+        // mmap reports failure as MAP_FAILED, i.e. (void *)-1.
+        if p as usize == usize::MAX {
+            panic!(
+                "co-thread stack mmap failed: {}",
+                std::io::Error::last_os_error()
+            );
+        }
+        let base = NonNull::new(p).expect("mmap never returns null without MAP_FIXED");
+        // SAFETY: the first page lies inside the mapping made above, which
+        // nothing references yet.
+        let rc = unsafe { mprotect(p, GUARD_BYTES, PROT_NONE) };
+        assert_eq!(
+            rc,
+            0,
+            "co-thread guard page mprotect failed: {}",
+            std::io::Error::last_os_error()
+        );
+        Stack { base }
+    }
+
+    /// One past the highest byte of the stack (page-aligned).
+    fn top(&self) -> *mut u8 {
+        self.base.as_ptr().cast::<u8>().wrapping_add(Self::LEN)
+    }
+}
+
+impl Drop for Stack {
+    fn drop(&mut self) {
+        // SAFETY: `base..base+LEN` is the mapping `new` made; the owning
+        // CoThread drops its Stack only once no code runs on it.
+        // munmap of a valid mapping cannot fail; nothing to do if it did.
+        let _ = unsafe { munmap(self.base.as_ptr(), Self::LEN) };
+    }
+}
 
 /// What a resumed co-thread handed back to the engine.
 #[derive(Debug, PartialEq, Eq)]
@@ -42,49 +220,124 @@ pub enum Yield<Req> {
 
 enum Wire<Req> {
     Request(Req),
+    /// The program returned, or was cancelled and unwound.
     Finished,
     Panicked(String),
 }
 
-/// Private panic payload used to unwind a cancelled program thread.
+/// Private panic payload used to unwind a cancelled program.
 struct Cancelled;
+
+type Program<Req, Resp> = Box<dyn FnOnce(&mut Port<Req, Resp>) + Send>;
+
+/// State shared by the engine and one co-thread. It is reached only
+/// through a raw pointer, by whichever side is running; the other side is
+/// suspended inside `cni_cothread_switch`.
+struct Inner<Req, Resp> {
+    /// The engine's stack pointer while the co-thread runs.
+    engine_sp: *mut u8,
+    /// The co-thread's stack pointer while it is suspended.
+    co_sp: *mut u8,
+    program: Option<Program<Req, Resp>>,
+    /// The response to the pending `Port::call`. `Drop` resumes the
+    /// co-thread without one, which cancels it.
+    to_program: Option<Resp>,
+    to_engine: Option<Wire<Req>>,
+}
 
 /// The program-side endpoint: issue simulated-service requests with
 /// [`Port::call`].
 pub struct Port<Req, Resp> {
-    req_tx: Sender<Wire<Req>>,
-    resp_rx: Receiver<Resp>,
+    inner: *mut Inner<Req, Resp>,
 }
 
 impl<Req, Resp> Port<Req, Resp> {
     /// Hand `req` to the engine and block until it responds.
     ///
-    /// If the engine has dropped the [`CoThread`] (simulation aborted), this
-    /// unwinds the program thread; the unwind is caught by the co-thread
-    /// wrapper and the thread exits quietly.
+    /// If the engine drops the [`CoThread`] (simulation aborted), this
+    /// unwinds the program instead of returning; the unwind is caught at
+    /// the bottom of the co-thread's stack and the program ends quietly.
     pub fn call(&mut self, req: Req) -> Resp {
-        if self.req_tx.send(Wire::Request(req)).is_err() {
-            panic::panic_any(Cancelled);
+        let inner = self.inner;
+        // SAFETY: a Port lives only on its running co-thread's stack, so
+        // `inner` is live and the engine is suspended in `switch_in`; once
+        // the switch returns, the engine is suspended again.
+        let resp = unsafe {
+            (*inner).to_engine = Some(Wire::Request(req));
+            cni_cothread_switch(&raw mut (*inner).co_sp, (*inner).engine_sp);
+            (*inner).to_program.take()
+        };
+        match resp {
+            Some(resp) => resp,
+            None => panic::resume_unwind(Box::new(Cancelled)),
         }
-        match self.resp_rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => panic::panic_any(Cancelled),
-        }
+    }
+}
+
+/// First Rust frame on a co-thread's stack, entered from the trampoline.
+///
+/// # Safety
+/// `inner` must be the live control block of the co-thread whose stack
+/// this runs on, entered by `CoThread::switch_in`.
+// SAFETY: see `# Safety`; only `CoThread::spawn` installs this function,
+// for its own control block.
+unsafe extern "C" fn entry<Req, Resp>(inner: *mut Inner<Req, Resp>) -> ! {
+    // Everything the program owns is dropped before `run` returns, so
+    // nothing on this stack needs to run again.
+    let exit = run(inner);
+    // SAFETY: as for `Port::call`: the engine is suspended in `switch_in`.
+    unsafe {
+        (*inner).to_engine = Some(exit);
+        cni_cothread_switch(&raw mut (*inner).co_sp, (*inner).engine_sp);
+    }
+    // The engine never switches into a finished co-thread.
+    std::process::abort()
+}
+
+fn run<Req, Resp>(inner: *mut Inner<Req, Resp>) -> Wire<Req> {
+    // SAFETY: called only from `entry`, under its contract.
+    let program = unsafe { (*inner).program.take() }.expect("a co-thread is entered once");
+    let mut port = Port { inner };
+    match panic::catch_unwind(AssertUnwindSafe(move || program(&mut port))) {
+        Ok(()) => Wire::Finished,
+        Err(payload) if payload.is::<Cancelled>() => Wire::Finished,
+        Err(payload) => Wire::Panicked(
+            payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        ),
     }
 }
 
 /// Engine-side handle to a suspended program.
 pub struct CoThread<Req, Resp> {
-    req_rx: Option<Receiver<Wire<Req>>>,
-    resp_tx: Option<Sender<Resp>>,
-    start_tx: Option<Sender<()>>,
-    handle: Option<JoinHandle<()>>,
+    /// From `Box::leak` in `spawn`; freed in `Drop`.
+    inner: NonNull<Inner<Req, Resp>>,
+    /// Unmapped when dropped, after `Drop::drop` is done with the co-thread.
+    _stack: Stack,
     name: String,
     started: bool,
     finished: bool,
     trace: TraceSink,
     cpu: u32,
 }
+
+// A CoThread owns its control block, its stack and the program suspended
+// on that stack; the only other pointer to any of them is the program's
+// own `Port`, which lives on that stack. Moving the CoThread to another OS
+// thread moves all of it. The boxed program is `Send`, and the `Req` and
+// `Resp` values in the control block are `Send` by the bounds below. The
+// program runs only while the thread that resumed it is suspended in
+// `switch_in`, so two OS threads never run it at once, and handing the
+// CoThread between threads already orders their accesses. What the
+// compiler cannot check is the program's own frames: a value on them that
+// is tied to an OS thread would be used from another one after a resume
+// from elsewhere.
+// SAFETY: by the argument above, given the module contract that a program
+// holds no thread-local borrow or lock guard across `Port::call`.
+unsafe impl<Req: Send, Resp: Send> Send for CoThread<Req, Resp> {}
 
 impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
     /// Create a co-thread for `program`. The program does not begin running
@@ -93,48 +346,45 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
     where
         F: FnOnce(&mut Port<Req, Resp>) + Send + 'static,
     {
-        let (req_tx, req_rx) = bounded::<Wire<Req>>(1);
-        let (resp_tx, resp_rx) = bounded::<Resp>(1);
-        let (start_tx, start_rx) = bounded::<()>(1);
-        let thread_name = name.to_string();
-        let handle = std::thread::Builder::new()
-            .name(thread_name.clone())
-            .spawn(move || {
-                // Hold until the engine explicitly starts us, so no program
-                // code runs concurrently with the engine.
-                if start_rx.recv().is_err() {
-                    return; // cancelled before start
-                }
-                let mut port = Port {
-                    req_tx: req_tx.clone(),
-                    resp_rx,
-                };
-                let outcome = panic::catch_unwind(AssertUnwindSafe(|| program(&mut port)));
-                match outcome {
-                    Ok(()) => {
-                        let _ = req_tx.send(Wire::Finished);
-                    }
-                    Err(payload) => {
-                        if payload.downcast_ref::<Cancelled>().is_some() {
-                            // Engine went away; exit quietly.
-                            return;
-                        }
-                        let msg = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        let _ = req_tx.send(Wire::Panicked(msg));
-                    }
-                }
-            })
-            .expect("failed to spawn co-thread");
+        let stack = Stack::new();
+        let inner = NonNull::from(Box::leak(Box::new(Inner {
+            engine_sp: ptr::null_mut(),
+            co_sp: ptr::null_mut(),
+            program: Some(Box::new(program) as Program<Req, Resp>),
+            to_program: None,
+            to_engine: None,
+        })));
+        // SAFETY: fn-pointer types only, nothing is called here. The first
+        // `switch_in` enters the trampoline, which calls `entry` with this
+        // co-thread's own control block, as `entry` requires.
+        let entry: unsafe extern "C" fn(*mut Inner<Req, Resp>) -> ! = entry::<Req, Resp>;
+        // SAFETY: as above; only `cni_cothread_switch` enters it.
+        let trampoline: unsafe extern "C" fn() = cni_cothread_trampoline;
+        // The frame `cni_cothread_switch` pops on the first switch in, from
+        // the lowest address: MXCSR and x87 control word, r15, r14, r13,
+        // r12, rbx, rbp, return address. `sp` is 16-byte aligned, so the
+        // trampoline starts with rsp = sp + 64 aligned and its `call`
+        // enters `entry` with the alignment the ABI requires.
+        let frame: [u64; 8] = [
+            MXCSR_INIT | FPUCW_INIT << 32,
+            0,
+            0,
+            entry as usize as u64,
+            inner.as_ptr() as u64,
+            0,
+            0,
+            trampoline as usize as u64,
+        ];
+        let sp = stack.top().wrapping_sub(16 + size_of_val(&frame));
+        // SAFETY: `sp..sp+64` lies in the writable part of the fresh
+        // mapping (16 bytes below its top) and is 16-byte aligned.
+        unsafe { sp.cast::<[u64; 8]>().write(frame) };
+        // SAFETY: `inner` came from `Box::leak` above; nothing else has it.
+        unsafe { (*inner.as_ptr()).co_sp = sp };
         CoThread {
-            req_rx: Some(req_rx),
-            resp_tx: Some(resp_tx),
-            start_tx: Some(start_tx),
-            handle: Some(handle),
-            name: thread_name,
+            inner,
+            _stack: stack,
+            name: name.to_string(),
             started: false,
             finished: false,
             trace: TraceSink::Disabled,
@@ -150,22 +400,17 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
         self.cpu = cpu;
     }
 
-    /// Begin executing the program; blocks until its first yield.
+    /// Begin executing the program; returns at its first yield.
     ///
     /// # Panics
     /// Panics if called twice, or if the program panics before yielding.
     pub fn start(&mut self) -> Yield<Req> {
         assert!(!self.started, "co-thread {:?} already started", self.name);
         self.started = true;
-        self.start_tx
-            .take()
-            .expect("start channel present before start")
-            .send(())
-            .expect("co-thread died before start");
         self.wait()
     }
 
-    /// Deliver `resp` to the program's pending [`Port::call`] and block
+    /// Deliver `resp` to the program's pending [`Port::call`] and run it
     /// until its next yield.
     ///
     /// # Panics
@@ -174,11 +419,8 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
     pub fn resume(&mut self, resp: Resp) -> Yield<Req> {
         assert!(self.started, "co-thread {:?} not started", self.name);
         assert!(!self.finished, "co-thread {:?} already finished", self.name);
-        self.resp_tx
-            .as_ref()
-            .expect("resp channel present while running")
-            .send(resp)
-            .unwrap_or_else(|_| panic!("co-thread {:?} died awaiting response", self.name));
+        // SAFETY: the co-thread is suspended, so the engine has sole access.
+        unsafe { (*self.inner.as_ptr()).to_program = Some(resp) };
         self.wait()
     }
 
@@ -190,7 +432,17 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
                 enter: true,
             },
         );
-        let y = self.wait_inner();
+        let y = match self.switch_in() {
+            Wire::Request(req) => Yield::Request(req),
+            Wire::Finished => {
+                self.finished = true;
+                Yield::Finished
+            }
+            Wire::Panicked(msg) => {
+                self.finished = true;
+                panic!("co-thread {:?} panicked: {msg}", self.name)
+            }
+        };
         self.trace.emit(
             self.cpu,
             TraceEvent::CothreadSwitch {
@@ -201,52 +453,47 @@ impl<Req: Send + 'static, Resp: Send + 'static> CoThread<Req, Resp> {
         y
     }
 
-    fn wait_inner(&mut self) -> Yield<Req> {
-        let wire = self
-            .req_rx
-            .as_ref()
-            .expect("req channel present while running")
-            .recv();
-        match wire {
-            Ok(Wire::Request(req)) => Yield::Request(req),
-            Ok(Wire::Finished) => {
-                self.finished = true;
-                Yield::Finished
-            }
-            Ok(Wire::Panicked(msg)) => {
-                self.finished = true;
-                panic!("co-thread {:?} panicked: {msg}", self.name)
-            }
-            Err(_) => {
-                self.finished = true;
-                panic!("co-thread {:?} disconnected unexpectedly", self.name)
-            }
-        }
-    }
-
     /// True once the program has run to completion.
     pub fn is_finished(&self) -> bool {
         self.finished
     }
 
-    /// The name given at spawn time (also the OS thread name).
+    /// The name given at spawn time.
     pub fn name(&self) -> &str {
         &self.name
     }
 }
 
+impl<Req, Resp> CoThread<Req, Resp> {
+    /// Run the co-thread until it posts its next message, and take it.
+    /// Callers ensure the co-thread has not finished.
+    fn switch_in(&mut self) -> Wire<Req> {
+        let inner = self.inner.as_ptr();
+        // The co-thread is unfinished, so `co_sp` is either the initial
+        // frame `spawn` built or the pointer it saved when it last
+        // suspended, and its stack (owned by `self`) is intact.
+        // SAFETY: by the above; the switch saves this thread's stack pointer
+        // in `engine_sp`, which is where the co-thread switches back to.
+        unsafe {
+            cni_cothread_switch(&raw mut (*inner).engine_sp, (*inner).co_sp);
+            (*inner).to_engine.take()
+        }
+        .expect("a co-thread suspends only after posting a message")
+    }
+}
+
 impl<Req, Resp> Drop for CoThread<Req, Resp> {
     fn drop(&mut self) {
-        // Dropping the channel endpoints cancels any pending Port::call and
-        // prevents a not-yet-started program from ever running.
-        self.start_tx = None;
-        self.resp_tx = None;
-        self.req_rx = None;
-        if let Some(handle) = self.handle.take() {
-            // The program thread can only be blocked on one of the channels
-            // we just dropped, so this join terminates promptly.
-            let _ = handle.join();
+        if self.started && !self.finished && !std::thread::panicking() {
+            // Resumed without a response, the pending `Port::call` unwinds.
+            // A program that catches the unwind and calls again is unwound
+            // again; how it then ends (return or panic) is not reported.
+            while let Wire::Request(_) = self.switch_in() {}
         }
+        // SAFETY: `inner` came from `Box::leak` in `spawn` and is freed
+        // only here; the co-thread that also points to it has finished or
+        // is abandoned, and never runs again.
+        drop(unsafe { Box::from_raw(self.inner.as_ptr()) });
     }
 }
 
@@ -369,5 +616,115 @@ mod tests {
             trace
         }
         assert_eq!(run_once(), run_once());
+    }
+
+    #[test]
+    fn drop_mid_flight_runs_program_destructors() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+        struct Counted(Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let d2 = drops.clone();
+        let mut co: CoThread<u32, u32> = CoThread::spawn("locals", move |port| {
+            let _outer = Counted(d2.clone());
+            let _inner = Counted(d2);
+            port.call(1);
+            unreachable!("the call must cancel");
+        });
+        assert_eq!(co.start(), Yield::Request(1));
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(co);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn resumes_from_another_os_thread() {
+        let mut co: CoThread<u32, u32> = CoThread::spawn("migrant", |port| {
+            let mut x = port.call(0);
+            for _ in 0..3 {
+                x = port.call(x + 1);
+            }
+            assert_eq!(x, 13);
+        });
+        assert_eq!(co.start(), Yield::Request(0));
+        // A parallel-executor worker resumes the co-thread next.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(co.resume(10), Yield::Request(11));
+            })
+            .join()
+            .expect("worker resumes without panicking");
+        });
+        assert_eq!(co.resume(11), Yield::Request(12));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert_eq!(co.resume(12), Yield::Request(13));
+                assert_eq!(co.resume(13), Yield::Finished);
+            });
+        });
+        assert!(co.is_finished());
+    }
+
+    #[test]
+    fn program_can_use_a_mebibyte_of_stack() {
+        #[inline(never)]
+        fn fill(depth: u32) -> u64 {
+            let mut buf = [0u8; 64 * 1024];
+            buf[depth as usize] = depth as u8 + 1;
+            std::hint::black_box(&mut buf);
+            let below = if depth == 0 { 0 } else { fill(depth - 1) };
+            below + u64::from(buf[depth as usize])
+        }
+        let mut co: CoThread<u64, ()> = CoThread::spawn("deep", |port| {
+            // 16 frames of 64 KiB each.
+            port.call(fill(15));
+        });
+        assert_eq!(co.start(), Yield::Request((1..=16).sum()));
+        assert_eq!(co.resume(()), Yield::Finished);
+    }
+
+    #[test]
+    fn backtrace_inside_program_formats() {
+        let mut co: CoThread<usize, ()> = CoThread::spawn("traced", |port| {
+            let bt = std::backtrace::Backtrace::force_capture();
+            port.call(format!("{bt}").len());
+        });
+        match co.start() {
+            Yield::Request(len) => assert!(len > 0),
+            other => panic!("unexpected yield {other:?}"),
+        }
+        assert_eq!(co.resume(()), Yield::Finished);
+    }
+
+    #[test]
+    fn many_cothreads_spawn_interleave_and_drop() {
+        let mut cos: Vec<CoThread<u32, u32>> = (0..256u32)
+            .map(|id| {
+                CoThread::spawn(&format!("cpu{id}"), move |port| {
+                    let mut x = id;
+                    for _ in 0..(id % 4) {
+                        x = port.call(x);
+                    }
+                })
+            })
+            .collect();
+        let mut pending: Vec<Yield<u32>> = cos.iter_mut().map(|c| c.start()).collect();
+        // Two rounds: co-threads with fewer calls finish, the rest are
+        // dropped mid-flight.
+        for _ in 0..2 {
+            for (co, y) in cos.iter_mut().zip(pending.iter_mut()) {
+                if let Yield::Request(v) = *y {
+                    *y = co.resume(v + 1);
+                }
+            }
+        }
+        let unfinished = cos.iter().filter(|c| !c.is_finished()).count();
+        assert_eq!(unfinished, 64, "ids with id % 4 == 3 still wait");
+        drop(cos);
     }
 }

@@ -17,10 +17,12 @@
 //!   `(time, seq)` order, so results stay byte-identical at any worker
 //!   count (DESIGN.md §4.11).
 //! * [`cothread`] — coroutine processors. Each simulated CPU runs *real*
-//!   application code on an OS thread; exactly one thread runs at a time and
-//!   control transfers to the engine whenever the program needs a simulated
-//!   service (page fault, lock, barrier, message). This is what makes the
-//!   simulation *execution-driven* rather than trace-driven.
+//!   application code on a stack of its own, switched to in user space on
+//!   the engine's OS thread (≈ 50 ns per engine → program → engine round
+//!   trip, `sim.cothread.roundtrip_ns`); exactly one of them runs at a time
+//!   and control transfers to the engine whenever the program needs a
+//!   simulated service (page fault, lock, barrier, message). This is what
+//!   makes the simulation *execution-driven* rather than trace-driven.
 //! * [`stats`] — counters, accumulators and log-2 histograms used for the
 //!   paper's overhead breakdowns (Tables 2–4).
 //! * [`rng`] — a small, seedable SplitMix64 generator for components that
